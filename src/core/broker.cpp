@@ -69,13 +69,11 @@ Broker::VoteEntry& Broker::vote_entry(const arm::Candidate& candidate) {
 }
 
 hom::Cipher Broker::build_aggregate(const VoteState& state) {
-  // Honest path: ⊥ plus every neighbour's latest, each rerandomized so the
-  // controller's reply cannot be correlated with individual counters.
-  // Collect the contribution list first (the malicious behaviours corrupt
-  // it here: a duplicated, dropped, or replayed entry), rerandomize it as
-  // one batch, then fold in list order — homomorphic addition is
-  // associative and the list order is the serial path's op order, so the
-  // aggregate plaintext is identical to the unbatched code.
+  // Honest path: ⊥ plus every neighbour's latest, summed and rerandomized
+  // once so the controller's reply cannot be correlated with individual
+  // counters (DESIGN.md §3). Collect the contribution list first (the
+  // malicious behaviours corrupt it here: a duplicated, dropped, or
+  // replayed entry), then fold it in list order.
   std::vector<const hom::Cipher*>& contributions = contributions_;
   contributions.clear();
   contributions.reserve(state.edges.size() + 2);
@@ -107,7 +105,7 @@ hom::Cipher Broker::build_aggregate(const VoteState& state) {
     }
     contributions.push_back(contribution);
   }
-  return eval_.aggregate_rerandomized(contributions, rng_, executor_);
+  return eval_.aggregate_rerandomized(contributions, rng_);
 }
 
 void Broker::evaluate_edges(const arm::Candidate& rule, VoteState& state,
@@ -142,7 +140,9 @@ void Broker::evaluate_edges(const arm::Candidate& rule, VoteState& state,
     if (!decision.send) continue;
 
     // Complete the controller's fresh counter with w's encrypted share
-    // token; neither piece is forgeable by this broker.
+    // token; neither piece is forgeable by this broker. The counter's fresh
+    // randomizer already makes the sum's uniform, so it goes out without a
+    // second rerandomization (DESIGN.md §3).
     hom::Cipher outgoing = std::move(decision.outgoing);
     eval_.add_into(outgoing, token.token);
     if (behavior_ == BrokerBehavior::kRandomCounter) {
@@ -151,7 +151,6 @@ void Broker::evaluate_edges(const arm::Candidate& rule, VoteState& state,
       outgoing = eval_.scalar_mul(2 + rng_.below(1000), outgoing);
     }
     ++stats_.messages_out;
-    eval_.rerandomize_into(outgoing, rng_);
     effects.messages.push_back(
         {w, SecureRuleMessage{rule, std::move(outgoing)}});
   }

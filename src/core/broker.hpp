@@ -54,7 +54,7 @@ class Broker {
   void set_behavior(BrokerBehavior behavior) { behavior_ = behavior; }
   BrokerBehavior behavior() const { return behavior_; }
 
-  /// Executor lane for the crypto batch APIs (rerandomize/decrypt batches).
+  /// Executor lane for the controller's decrypt batches.
   /// Optional; null keeps every batch an inline loop. Calls made from
   /// inside an offloaded per-resource job degrade to inline automatically
   /// (Executor::parallel_for's nested-batch rule), so the handle is safe to

@@ -4,8 +4,10 @@
 // objects the examples and figure benches use.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "arm/metrics.hpp"
@@ -122,6 +124,7 @@ class SecureGrid {
 
     SecureConfig secure = config.secure;
     if (secure.n_items == 0) secure.n_items = config.env.quest.n_items;
+    check_counter_capacity(secure.spare_slots);
 
     for (net::NodeId u = 0; u < env_.overlay.size(); ++u) {
       auto r = std::make_unique<SecureResource>(
@@ -275,6 +278,23 @@ class SecureGrid {
  private:
   SecureGridConfig config_;
   GridEnv env_;
+  /// Refuse, before any encryption, an overlay whose widest counter layout
+  /// does not fit one cipher of this key (hom::Context::max_fields).
+  void check_counter_capacity(std::size_t spare_slots) const {
+    std::size_t degree = 0;
+    for (net::NodeId u = 0; u < env_.overlay.size(); ++u)
+      degree = std::max(degree, env_.overlay.degree(u));
+    const std::size_t fields =
+        hom::CounterLayout(degree + spare_slots).n_fields();
+    KGRID_CHECK(fields <= crypto_->max_fields(),
+                "overlay degree " + std::to_string(degree) + " plus " +
+                    std::to_string(spare_slots) + " spare slots needs " +
+                    std::to_string(fields) + " counter fields, but a " +
+                    std::to_string(config_.paillier_bits) +
+                    "-bit Paillier key packs at most " +
+                    std::to_string(crypto_->max_fields()));
+  }
+
   hom::ContextPtr crypto_;
   KTtpMonitor monitor_;
   sim::Engine engine_;

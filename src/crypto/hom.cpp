@@ -359,55 +359,43 @@ std::vector<Cipher> EvalHandle::rerandomize_batch(
   return out;
 }
 
-void EvalHandle::rerandomize_into(Cipher& c, Rng& rng) const {
-  KGRID_CHECK(c.backend() == ctx_->backend(), "cipher backend mismatch");
-  obs::crypto_counters().hom_rerandomizes.inc();
-  if (ctx_->backend() == Backend::kPlain) {
-    c.own().salt = rng();
-    return;
-  }
-  const PaillierPublicKey& pk = ctx_->key_.pub;
-  set_cipher_form(c, pk.rerandomize_form(cipher_form(c, pk), rng), pk);
-}
-
 Cipher EvalHandle::aggregate_rerandomized(
-    std::span<const Cipher* const> items, Rng& rng,
-    sim::Executor* executor) const {
+    std::span<const Cipher* const> items, Rng& rng) const {
   KGRID_CHECK(!items.empty(), "aggregate of an empty contribution list");
+  for (const Cipher* p : items)
+    KGRID_CHECK(p->backend() == ctx_->backend(), "cipher backend mismatch");
+  // Fold, then one rerandomization of the sum: a fresh r^n times the
+  // product of the addends' randomizers is uniform whatever they were, so
+  // this has the distribution of rerandomizing every addend (DESIGN.md §3).
+  // Counted as that fold on both backends: n-1 adds plus 1 rerandomize.
+  // The child split keeps the parent's draw count backend-independent (a
+  // pooled Paillier rerandomization draws nothing from its Rng).
+  obs::crypto_counters().hom_adds.inc(items.size() - 1);
+  obs::crypto_counters().hom_rerandomizes.inc();
+  Rng child = rng.split();
+  Cipher c;
+  Cipher::Body& cb = c.own();
+  cb.backend = ctx_->backend();
   if (ctx_->backend() == Backend::kPlain) {
-    // Fused path. Randomness: one child per item, split in index order,
-    // each drawn once — the exact stream rerandomize_batch produces. Salt:
-    // the add() fold formula applied left to right over the fresh salts.
-    // Fields: the zero-extended wrapping sum, which the fold also computes.
-    obs::crypto_counters().hom_rerandomizes.inc(items.size());
-    obs::crypto_counters().hom_adds.inc(items.size() - 1);
-    Cipher c;
-    Cipher::Body& cb = c.own();
-    cb.backend = Backend::kPlain;
+    // The zero-extended wrapping field sum the add() fold computes; the
+    // fold's salt chain is overwritten by the fresh salt, so skip it.
     std::size_t n_fields = 0;
-    for (const Cipher* p : items) {
-      KGRID_CHECK(p->backend() == Backend::kPlain, "cipher backend mismatch");
+    for (const Cipher* p : items)
       n_fields = std::max(n_fields, p->body().plain.size());
-    }
     cb.plain.resize(n_fields);
     for (const Cipher* p : items) {
       const auto& ap = p->body().plain;
       for (std::size_t i = 0; i < ap.size(); ++i) cb.plain[i] += ap[i];
     }
-    std::uint64_t salt = 0;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      Rng child = rng.split();
-      const std::uint64_t fresh = child();
-      salt = i == 0 ? fresh
-                    : (salt ^ (fresh << 1) ^ 0x9e3779b97f4a7c15ull);
-    }
-    cb.salt = salt;
+    cb.salt = child();
     return c;
   }
-  std::vector<Cipher> fresh = rerandomize_batch(items, rng, executor);
-  Cipher agg = std::move(fresh[0]);
-  for (std::size_t i = 1; i < fresh.size(); ++i) add_into(agg, fresh[i]);
-  return agg;
+  const PaillierPublicKey& pk = ctx_->key_.pub;
+  Form sum = cipher_form(*items[0], pk);
+  for (std::size_t i = 1; i < items.size(); ++i)
+    sum = pk.add_form(sum, cipher_form(*items[i], pk));
+  set_cipher_form(c, pk.rerandomize_form(sum, child), pk);
+  return c;
 }
 
 Cipher EvalHandle::zero(std::size_t n_fields, Rng& rng) const {

@@ -378,12 +378,6 @@ class EvalHandle {
   /// the value changed (paper §5.2).
   Cipher rerandomize(const Cipher& a, Rng& rng) const;
 
-  /// In-place `c = rerandomize(c, rng)` — same randomness draws and result,
-  /// minus the copy-on-write clone when c is uniquely owned. Used on the
-  /// outgoing-message path, where the cipher was just built and is never
-  /// aliased.
-  void rerandomize_into(Cipher& c, Rng& rng) const;
-
   /// Enc(0) with `n_fields` zero fields, usable as an aggregation seed.
   Cipher zero(std::size_t n_fields, Rng& rng) const;
 
@@ -396,14 +390,13 @@ class EvalHandle {
                                         Rng& rng,
                                         sim::Executor* executor = nullptr) const;
 
-  /// Fused `rerandomize_batch` + left fold of `add`: the aggregate a broker
-  /// builds every flush. Bit-identical to the two-call sequence — same Rng
-  /// splits and draws, same salt chain, same op counters — but the plain
-  /// backend computes the field sum and the salt fold directly, skipping
-  /// the n intermediate cipher bodies the unfused path allocates and
-  /// immediately discards. Precondition: items is non-empty.
-  Cipher aggregate_rerandomized(std::span<const Cipher* const> items, Rng& rng,
-                                sim::Executor* executor = nullptr) const;
+  /// The aggregate a broker builds every flush: the field-wise sum of
+  /// `items`, rerandomized once. Same plaintext and cipher distribution as
+  /// rerandomizing every addend before folding, at one r^n factor instead
+  /// of n. Counts as n-1 adds plus one rerandomize and draws one child Rng
+  /// from `rng`, on both backends. Precondition: items is non-empty.
+  Cipher aggregate_rerandomized(std::span<const Cipher* const> items,
+                                Rng& rng) const;
 
  private:
   friend class Context;

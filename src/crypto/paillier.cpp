@@ -44,12 +44,7 @@ Form PaillierPublicKey::encrypt_form(const BigInt& m, Rng& rng) const {
 
 std::vector<Form> PaillierPublicKey::randomizer_forms(std::size_t n_items,
                                                       std::span<Rng> rngs) const {
-  std::vector<Form> out;
-  out.reserve(n_items);
-  if (pool) {
-    for (std::size_t i = 0; i < n_items; ++i) out.push_back(pool->take());
-    return out;
-  }
+  if (pool) return pool->take_batch(n_items);
   std::vector<Form> bases;
   bases.reserve(n_items);
   for (std::size_t i = 0; i < n_items; ++i)

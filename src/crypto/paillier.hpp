@@ -83,9 +83,10 @@ struct PaillierPublicKey {
   // Batch variants: the modexps and Montgomery multiplications of all items
   // run through wide::Montgomery's interleaved batch kernels (SIMD lanes in
   // lockstep). Blinding factors come from the pool in index order when one
-  // is attached, else r_i is drawn from rngs[i] and the r_i^n are computed
-  // as one shared-exponent batch. Results are bit-identical to per-item
-  // calls fed the same factors.
+  // is attached (RandomizerPool::take_batch: any shortfall is one batch
+  // refill), else r_i is drawn from rngs[i] and the r_i^n are computed as
+  // one shared-exponent batch. Results are bit-identical to per-item calls
+  // fed the same factors.
 
   /// Enc(ms[i]; fresh r) for every i, results in Montgomery form.
   std::vector<wide::Montgomery::Form> encrypt_form_batch(
@@ -97,11 +98,11 @@ struct PaillierPublicKey {
 
  private:
   wide::BigInt random_unit(Rng& rng) const;
-  /// A fresh r^n factor in Montgomery form — pool hit when one is stocked,
-  /// inline generation (drawing from `rng`) otherwise.
+  /// A fresh r^n factor in Montgomery form — a pool take when a pool is
+  /// attached, else an inline modexp drawing r from `rng`.
   wide::Montgomery::Form randomizer_form(Rng& rng) const;
-  /// n fresh r^n factors: pool takes in index order, or one interleaved
-  /// batch exponentiation drawing r_i from rngs[i].
+  /// n fresh r^n factors: one pool take_batch, or one interleaved batch
+  /// exponentiation drawing r_i from rngs[i].
   std::vector<wide::Montgomery::Form> randomizer_forms(std::size_t n,
                                                        std::span<Rng> rngs) const;
 };

@@ -1,5 +1,6 @@
 #include "crypto/randomizer_pool.hpp"
 
+#include <iterator>
 #include <utility>
 
 #include "obs/crypto_counters.hpp"
@@ -14,51 +15,51 @@ RandomizerPool::RandomizerPool(BigInt n,
                                std::uint64_t seed)
     : n_(std::move(n)), mont_n2_(std::move(mont_n2)), rng_(seed) {}
 
-wide::Montgomery::Form RandomizerPool::generate() {
-  // Uniform unit in [1, n); a non-unit reveals a factor of n, which happens
-  // with negligible probability for honestly generated keys — retry
-  // regardless.
-  for (;;) {
+void RandomizerPool::refill_locked(std::size_t count) {
+  // Draw every r in factor order first — the rng consumes the same draw
+  // sequence however the factors are later batched — then raise them all
+  // to n through one interleaved batch exponentiation.
+  std::vector<wide::Montgomery::Form> bases;
+  bases.reserve(count);
+  while (bases.size() < count) {
+    // Uniform unit in [1, n); a non-unit reveals a factor of n, which
+    // happens with negligible probability for honestly generated keys —
+    // retry regardless.
     const BigInt r = BigInt(1) + BigInt::random_below(rng_, n_ - BigInt(1));
     if (wide::gcd(r, n_) != BigInt(1)) continue;
-    return mont_n2_->pow_form(mont_n2_->to_form(r), n_);
+    bases.push_back(mont_n2_->to_form(r));
   }
+  obs::crypto_counters().pool_batch_refills.inc();
+  for (wide::Montgomery::Form& f : mont_n2_->pow_form_batch(bases, n_))
+    stock_.push_back(std::move(f));
 }
 
 wide::Montgomery::Form RandomizerPool::take() {
+  return std::move(take_batch(1).front());
+}
+
+std::vector<wide::Montgomery::Form> RandomizerPool::take_batch(
+    std::size_t count) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!stock_.empty()) {
-    obs::crypto_counters().pool_hits.inc();
-    wide::Montgomery::Form f = std::move(stock_.front());
-    stock_.pop_front();
-    return f;
-  }
-  obs::crypto_counters().pool_misses.inc();
-  return generate();
+  // Serial takes would miss once per kRefillBatch factors past the stock;
+  // generate all of those lane groups in one refill instead.
+  const std::size_t short_by = count > stock_.size() ? count - stock_.size() : 0;
+  const std::size_t misses = (short_by + kRefillBatch - 1) / kRefillBatch;
+  if (misses > 0) refill_locked(misses * kRefillBatch);
+  obs::crypto_counters().pool_misses.inc(misses);
+  obs::crypto_counters().pool_hits.inc(count - misses);
+  const auto end = stock_.begin() + static_cast<std::ptrdiff_t>(count);
+  std::vector<wide::Montgomery::Form> out(std::make_move_iterator(stock_.begin()),
+                                          std::make_move_iterator(end));
+  stock_.erase(stock_.begin(), end);
+  return out;
 }
 
 void RandomizerPool::prefill(std::size_t count) {
   std::lock_guard<std::mutex> lock(mu_);
   if (count == 0) return;
-  // Draw every r in index order first — the rng consumes exactly the same
-  // draw sequence as `count` serial generate() calls, so the factor stream
-  // stays seed-deterministic — then raise them all to n through one
-  // interleaved batch exponentiation.
-  std::vector<wide::Montgomery::Form> bases;
-  bases.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    obs::crypto_counters().pool_prefills.inc();
-    for (;;) {
-      const BigInt r = BigInt(1) + BigInt::random_below(rng_, n_ - BigInt(1));
-      if (wide::gcd(r, n_) != BigInt(1)) continue;
-      bases.push_back(mont_n2_->to_form(r));
-      break;
-    }
-  }
-  obs::crypto_counters().pool_batch_refills.inc();
-  std::vector<wide::Montgomery::Form> factors =
-      mont_n2_->pow_form_batch(bases, n_);
-  for (wide::Montgomery::Form& f : factors) stock_.push_back(std::move(f));
+  obs::crypto_counters().pool_prefills.inc(count);
+  refill_locked(count);
 }
 
 }  // namespace kgrid::hom

@@ -1,7 +1,13 @@
 // Whole-grid integration tests of Secure-Majority-Rule.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <utility>
+
 #include "core/grid.hpp"
+#include "golden_fingerprint.hpp"
+#include "obs/crypto_counters.hpp"
 #include "util/rng.hpp"
 
 namespace kgrid::core {
@@ -106,6 +112,82 @@ TEST(SecureGrid, PaillierBackendEndToEnd) {
   grid.run_steps(40);
   EXPECT_GT(grid.average_recall(reference), 0.9);
   EXPECT_GT(grid.average_precision(reference), 0.9);
+}
+
+/// The Fig. 3 single-itemset vote over `overlay`: every resource holds 12
+/// votes on item 0, half preloaded and half streamed at one per step.
+GridEnv vote_env(net::Graph overlay, std::uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t n = overlay.size();
+  GridEnv env{std::move(overlay), net::LinkDelays(seed ^ 0xabcdef, 0.5, 1.0),
+              data::Database{}, {}, {}};
+  data::TransactionId id = 0;
+  for (std::size_t u = 0; u < n; ++u) {
+    data::Database part;
+    std::vector<data::Transaction> stream;
+    for (std::size_t i = 0; i < 12; ++i) {
+      const bool vote = rng.bernoulli(0.6);
+      const data::Transaction t{id++,
+                                vote ? data::Itemset{0} : data::Itemset{1}};
+      env.global.append(t);
+      if (i < 6) part.append(t);
+      else stream.push_back(t);
+    }
+    env.initial.push_back(std::move(part));
+    env.arrivals.push_back(std::move(stream));
+  }
+  return env;
+}
+
+SecureGridConfig vote_config(std::size_t n, hom::Backend backend) {
+  SecureGridConfig cfg;
+  cfg.env.n_resources = n;
+  cfg.env.seed = 4242;
+  cfg.env.quest.n_items = 2;
+  cfg.secure.n_items = 1;
+  cfg.secure.min_freq = 0.5;
+  cfg.secure.k = 4;
+  cfg.secure.candidate_period = 1;
+  cfg.secure.arrivals_per_step = 1;
+  cfg.backend = backend;
+  cfg.paillier_bits = 512;
+  return cfg;
+}
+
+std::array<std::uint64_t, 5> hom_counts() {
+  const auto& c = obs::crypto_counters();
+  return {c.hom_encrypts.value(), c.hom_decrypts.value(), c.hom_adds.value(),
+          c.hom_scalar_muls.value(), c.hom_rerandomizes.value()};
+}
+
+TEST(SecureGrid, PaillierPathVoteMatchesPlain) {
+  // Every figure runs on the plain backend on the strength of this claim:
+  // the same vote under real Paillier reaches the same protocol state and
+  // pays the same hom-layer op counts.
+  const auto run = [](hom::Backend backend) {
+    const auto before = hom_counts();
+    SecureGrid grid(vote_config(16, backend),
+                    vote_env(net::spanning_tree(net::path(16), 0), 7));
+    grid.run_steps(4);
+    auto delta = hom_counts();
+    for (std::size_t i = 0; i < delta.size(); ++i) delta[i] -= before[i];
+    return std::make_pair(test::grid_fingerprint(grid), delta);
+  };
+  const auto plain = run(hom::Backend::kPlain);
+  const auto paillier = run(hom::Backend::kPaillier);
+  EXPECT_EQ(paillier.first, plain.first);
+  EXPECT_EQ(paillier.second, plain.second);
+  EXPECT_GT(plain.second[4], 0u);  // the run rerandomized something
+}
+
+TEST(SecureGrid, CounterCapacityIsCheckedAtConstruction) {
+  // A 4-leaf star needs 4 + 5 counter fields at the hub; a 512-bit key
+  // packs 7. The grid refuses it before the first encryption.
+  net::Graph star(5);
+  for (net::NodeId leaf = 1; leaf < 5; ++leaf) star.add_edge(0, leaf);
+  EXPECT_DEATH(SecureGrid(vote_config(5, hom::Backend::kPaillier),
+                          vote_env(std::move(star), 3)),
+               "overlay degree 4 plus 0 spare slots needs 9 counter fields.*512-bit");
 }
 
 TEST(SecureGrid, LeafJoinBringsNewDataIntoTheModel) {

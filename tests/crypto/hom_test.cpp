@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "crypto/packing.hpp"
+#include "obs/crypto_counters.hpp"
 #include "util/rng.hpp"
 
 namespace kgrid::hom {
@@ -93,6 +94,45 @@ TEST_P(HomBackendTest, ZeroIsAdditiveIdentity) {
   const Cipher z = eval.zero(3, rng_);
   EXPECT_EQ(ctx_->decrypt_key().decrypt(eval.add(a, z), 3),
             (std::vector<std::uint64_t>{4, 5, 6}));
+}
+
+TEST_P(HomBackendTest, AggregateRerandomizesTheSumOnce) {
+  // A broker's aggregate: n contributions folded with n-1 adds, then one
+  // rerandomization of the sum — counted identically on both backends, so
+  // plain-backend sweeps report the op counts real Paillier pays.
+  const auto enc = ctx_->encrypt_key();
+  const auto eval = ctx_->eval_handle();
+  const auto dec = ctx_->decrypt_key();
+  std::vector<Cipher> parts;
+  for (std::uint64_t i = 1; i <= 4; ++i)
+    parts.push_back(enc.encrypt(std::vector<std::uint64_t>{i, 10 * i, 7}, rng_));
+  std::vector<const Cipher*> items;
+  for (const Cipher& p : parts) items.push_back(&p);
+  items.push_back(&parts[1]);  // repeats are legal (a double-counting broker)
+  const std::vector<Cipher> before = parts;
+
+  auto& c = obs::crypto_counters();
+  const auto adds0 = c.hom_adds.value();
+  const auto rerand0 = c.hom_rerandomizes.value();
+  const auto encrypts0 = c.hom_encrypts.value();
+  const Cipher agg = eval.aggregate_rerandomized(items, rng_);
+  EXPECT_EQ(c.hom_adds.value() - adds0, items.size() - 1);
+  EXPECT_EQ(c.hom_rerandomizes.value() - rerand0, 1u);
+  EXPECT_EQ(c.hom_encrypts.value(), encrypts0);
+
+  EXPECT_EQ(dec.decrypt(agg, 3), (std::vector<std::uint64_t>{12, 120, 35}));
+  Cipher folded = *items[0];
+  for (std::size_t i = 1; i < items.size(); ++i)
+    folded = eval.add(folded, *items[i]);
+  EXPECT_EQ(dec.decrypt(folded, 3), dec.decrypt(agg, 3));
+  EXPECT_NE(agg, folded);  // the sum was rerandomized
+  EXPECT_EQ(parts, before);  // contributions are untouched
+
+  // A single contribution still comes back as a fresh cipher.
+  const Cipher one = eval.aggregate_rerandomized(
+      std::vector<const Cipher*>{&parts[0]}, rng_);
+  EXPECT_NE(one, parts[0]);
+  EXPECT_EQ(dec.decrypt(one, 3), dec.decrypt(parts[0], 3));
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, HomBackendTest,

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "crypto/paillier.hpp"
 #include "obs/crypto_counters.hpp"
@@ -96,6 +97,71 @@ TEST(RandomizerPool, PrefillRunsAsOneBatchRefill) {
 
   key.pub.pool->prefill(0);  // empty refill is a no-op, not a batch
   EXPECT_EQ(c.pool_batch_refills.value(), batches0 + 2);
+}
+
+TEST(RandomizerPool, MissRefillsOneLaneGroup) {
+  // A miss generates kRefillBatch factors in one batch exponentiation and
+  // serves the first, so the next kRefillBatch - 1 takes are hits.
+  Rng rng(17);
+  const PaillierPrivateKey key = paillier_keygen(256, rng);
+  auto& c = obs::crypto_counters();
+  const auto hits0 = c.pool_hits.value();
+  const auto misses0 = c.pool_misses.value();
+  const auto batches0 = c.pool_batch_refills.value();
+  ASSERT_EQ(RandomizerPool::kRefillBatch, 8u);
+
+  (void)key.pub.pool->take();
+  EXPECT_EQ(c.pool_misses.value(), misses0 + 1);
+  EXPECT_EQ(c.pool_batch_refills.value(), batches0 + 1);
+  EXPECT_EQ(key.pub.pool->stock(), 7u);
+
+  for (int i = 0; i < 7; ++i) (void)key.pub.pool->take();
+  EXPECT_EQ(c.pool_hits.value(), hits0 + 7);
+  EXPECT_EQ(c.pool_misses.value(), misses0 + 1);
+  EXPECT_EQ(c.pool_batch_refills.value(), batches0 + 1);
+  EXPECT_EQ(key.pub.pool->stock(), 0u);
+}
+
+TEST(RandomizerPool, TakeBatchMatchesSerialTakes) {
+  // Identically seeded pools: take_batch(n) returns the factors n serial
+  // take() calls return, bit for bit, and counts hits and misses the same
+  // way — from an empty pool and from a prefilled one, across refill
+  // boundaries.
+  const auto value = [](const PaillierPublicKey& pk,
+                        const wide::Montgomery::Form& f) {
+    return pk.from_form(f);
+  };
+  for (const std::size_t prefilled : {std::size_t{0}, std::size_t{3}}) {
+    Rng rng_a(41);
+    Rng rng_b(41);
+    const PaillierPrivateKey ka = paillier_keygen(256, rng_a);
+    const PaillierPrivateKey kb = paillier_keygen(256, rng_b);
+    ASSERT_EQ(ka.pub.n, kb.pub.n);
+    ka.pub.pool->prefill(prefilled);
+    kb.pub.pool->prefill(prefilled);
+    auto& c = obs::crypto_counters();
+    for (const std::size_t n : {std::size_t{5}, std::size_t{13},
+                                std::size_t{1}}) {
+      const auto hits0 = c.pool_hits.value();
+      const auto misses0 = c.pool_misses.value();
+      std::vector<BigInt> serial;
+      for (std::size_t i = 0; i < n; ++i)
+        serial.push_back(value(ka.pub, ka.pub.pool->take()));
+      const auto serial_hits = c.pool_hits.value() - hits0;
+      const auto serial_misses = c.pool_misses.value() - misses0;
+
+      const auto hits1 = c.pool_hits.value();
+      const auto misses1 = c.pool_misses.value();
+      const auto batch = kb.pub.pool->take_batch(n);
+      ASSERT_EQ(batch.size(), n);
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(value(kb.pub, batch[i]), serial[i])
+            << "prefilled=" << prefilled << " n=" << n << " i=" << i;
+      EXPECT_EQ(c.pool_hits.value() - hits1, serial_hits);
+      EXPECT_EQ(c.pool_misses.value() - misses1, serial_misses);
+      EXPECT_EQ(kb.pub.pool->stock(), ka.pub.pool->stock());
+    }
+  }
 }
 
 TEST(PaillierForms, FormOpsMatchBigIntOps) {
