@@ -112,10 +112,12 @@ class SecureGrid {
       }
     }
     // Pre-size the event arenas from the topology: the steady-state
-    // in-flight population is a few messages per resource (per-step
-    // reports to each tree neighbor, degree ~2 on the spanning overlay)
-    // plus one pending timer; 8 slots each covers the fig3 sweeps with
-    // slack so the pool never demand-grows (overflow stays 0).
+    // in-flight population of vote traffic is a few messages per resource
+    // (per-step reports to each tree neighbor, degree ~2 on the spanning
+    // overlay) plus one pending timer; 8 slots each covers the fig3 vote
+    // sweeps with slack, so there the pool never demand-grows (overflow
+    // stays 0). Rule mining keeps more candidates in flight and grows the
+    // arena on demand (a T10I4 run on 16 resources overflows it 4 times).
     engine_.reserve_events(8 * (env_.overlay.size() + 1));
     Rng rng(config.env.seed ^ 0xdeadbeef);
     crypto_ = config.backend == hom::Backend::kPlain

@@ -133,45 +133,38 @@ BigInt PaillierPrivateKey::decrypt_no_crt(const BigInt& c) const {
 }
 
 BigInt PaillierPrivateKey::decrypt(const BigInt& c) const {
-  KGRID_CHECK(!c.is_negative() && c < pub.n2, "Paillier ciphertext out of range");
-  obs::crypto_counters().paillier_decrypts.inc();
-  // m_p = L_p(c^(p-1) mod p^2) · h_p mod p, and likewise mod q.
-  const BigInt p2 = mont_p2->modulus();
-  const BigInt q2 = mont_q2->modulus();
-  const BigInt up = mont_p2->pow(c % p2, p - BigInt(1));
-  const BigInt uq = mont_q2->pow(c % q2, q - BigInt(1));
-  const BigInt mp = (((up - BigInt(1)) / p) * hp) % p;
-  const BigInt mq = (((uq - BigInt(1)) / q) * hq) % q;
-  // Garner: m = m_q + q·((m_p − m_q)·q^-1 mod p).
-  const BigInt diff = (mp - mq).mod_floor(p);
-  return mq + q * ((diff * q_inv_p) % p);
+  return decrypt_batch(std::span(&c, 1)).front();
 }
 
 std::vector<BigInt> PaillierPrivateKey::decrypt_batch(
     std::span<const BigInt> cs) const {
   const std::size_t count = cs.size();
   obs::crypto_counters().paillier_decrypts.inc(count);
-  const BigInt p2 = mont_p2->modulus();
-  const BigInt q2 = mont_q2->modulus();
-  std::vector<Form> bp, bq;
-  bp.reserve(count);
-  bq.reserve(count);
-  for (const BigInt& c : cs) {
+  // m_p = L_p(c^(p-1) mod p^2) · h_p mod p, and likewise mod q. Every
+  // half-width exponentiation of the batch runs in one multi-context call:
+  // the mod-p^2 halves first, then the mod-q^2 halves, so up to four items
+  // fill one 8-lane pass and equal-context runs stay contiguous for
+  // backends whose lanes share a modulus.
+  const BigInt& p2 = mont_p2->modulus();
+  const BigInt& q2 = mont_q2->modulus();
+  std::vector<Form> bases(2 * count);
+  std::vector<BigInt> exps(count, p - BigInt(1));
+  exps.resize(2 * count, q - BigInt(1));
+  for (std::size_t i = 0; i < count; ++i) {
+    const BigInt& c = cs[i];
     KGRID_CHECK(!c.is_negative() && c < pub.n2,
                 "Paillier ciphertext out of range");
-    bp.push_back(mont_p2->to_form(c % p2));
-    bq.push_back(mont_q2->to_form(c % q2));
+    bases[i] = mont_p2->to_form(c % p2);
+    bases[count + i] = mont_q2->to_form(c % q2);
   }
-  // The two half-width exponentiations of every item, interleaved: one
-  // shared-exponent batch mod p^2 and one mod q^2.
-  const std::vector<BigInt> ups =
-      mont_p2->from_form_batch(mont_p2->pow_form_batch(bp, p - BigInt(1)));
-  const std::vector<BigInt> uqs =
-      mont_q2->from_form_batch(mont_q2->pow_form_batch(bq, q - BigInt(1)));
+  const std::vector<Form> us = wide::Montgomery::pow_form_batch(bases, exps);
   std::vector<BigInt> out(count);
   for (std::size_t i = 0; i < count; ++i) {
-    const BigInt mp = (((ups[i] - BigInt(1)) / p) * hp) % p;
-    const BigInt mq = (((uqs[i] - BigInt(1)) / q) * hq) % q;
+    const BigInt up = mont_p2->from_form(us[i]);
+    const BigInt uq = mont_q2->from_form(us[count + i]);
+    const BigInt mp = (((up - BigInt(1)) / p) * hp) % p;
+    const BigInt mq = (((uq - BigInt(1)) / q) * hq) % q;
+    // Garner: m = m_q + q·((m_p − m_q)·q^-1 mod p).
     const BigInt diff = (mp - mq).mod_floor(p);
     out[i] = mq + q * ((diff * q_inv_p) % p);
   }

@@ -114,8 +114,9 @@ struct PaillierPrivateKey {
 
   // CRT acceleration (controllers decrypt on every SFE, so this is the
   // secure protocol's hottest primitive): exponentiation is done separately
-  // mod p^2 and q^2 — four half-width modexps beat one full-width one by
-  // roughly 4x — and recombined with Garner's formula.
+  // mod p^2 and q^2 — two half-width modexps beat one full-width one by
+  // roughly 4x — and recombined with Garner's formula. Both halves of every
+  // item run in one multi-context batch exponentiation (decrypt_batch).
   wide::BigInt p;
   wide::BigInt q;
   std::shared_ptr<const wide::Montgomery> mont_p2;
@@ -124,7 +125,7 @@ struct PaillierPrivateKey {
   wide::BigInt hq;       // likewise mod q
   wide::BigInt q_inv_p;  // q^-1 mod p, for Garner recombination
 
-  /// Plaintext in [0, n).
+  /// Plaintext in [0, n): a one-item decrypt_batch.
   wide::BigInt decrypt(const wide::BigInt& c) const;
 
   /// Plaintext interpreted in (-n/2, n/2] — the paper's "standard shifting
@@ -135,9 +136,12 @@ struct PaillierPrivateKey {
   /// unit tests assert both paths agree).
   wide::BigInt decrypt_no_crt(const wide::BigInt& c) const;
 
-  /// CRT decryption of a batch: the half-width exponentiations of all items
-  /// run as two shared-exponent interleaved batches (mod p^2 and mod q^2),
-  /// then the L-function/Garner tail per item. Bit-identical to decrypt().
+  /// CRT decryption of a batch: the 2·|cs| half-width exponentiations (each
+  /// item's c^(p-1) mod p^2 and c^(q-1) mod q^2) run as one multi-context
+  /// wide::Montgomery::pow_form_batch — on the IFMA backend the two halves
+  /// of up to four items share one 8-lane pass — then the L-function/Garner
+  /// tail per item. Keys whose p^2/q^2 miss the fixed-width grid take each
+  /// context's per-item pow. Counts 2 modexps per item.
   std::vector<wide::BigInt> decrypt_batch(
       std::span<const wide::BigInt> cs) const;
 };

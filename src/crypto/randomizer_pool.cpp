@@ -1,5 +1,6 @@
 #include "crypto/randomizer_pool.hpp"
 
+#include <algorithm>
 #include <iterator>
 #include <utility>
 
@@ -18,17 +19,32 @@ RandomizerPool::RandomizerPool(BigInt n,
 void RandomizerPool::refill_locked(std::size_t count) {
   // Draw every r in factor order first — the rng consumes the same draw
   // sequence however the factors are later batched — then raise them all
-  // to n through one interleaved batch exponentiation.
+  // to n through one interleaved batch exponentiation. r is uniform in
+  // [1, n) and must be a unit; a non-unit reveals a factor of n, which
+  // happens with negligible probability for honestly generated keys. One
+  // gcd of the group's product mod n checks every r at once; only a group
+  // that fails it is re-checked per r in draw order, its non-units dropped
+  // and replaced by further draws — so the accepted r are exactly those a
+  // per-r check would accept.
+  std::vector<BigInt> rs;
+  rs.reserve(count);
+  while (rs.size() < count) {
+    const auto group = static_cast<std::ptrdiff_t>(rs.size());
+    BigInt product(1);
+    while (rs.size() < count) {
+      rs.push_back(BigInt(1) + BigInt::random_below(rng_, n_ - BigInt(1)));
+      product = (product * rs.back()) % n_;
+    }
+    if (wide::gcd(product, n_) == BigInt(1)) break;
+    rs.erase(std::remove_if(rs.begin() + group, rs.end(),
+                            [&](const BigInt& r) {
+                              return wide::gcd(r, n_) != BigInt(1);
+                            }),
+             rs.end());
+  }
   std::vector<wide::Montgomery::Form> bases;
   bases.reserve(count);
-  while (bases.size() < count) {
-    // Uniform unit in [1, n); a non-unit reveals a factor of n, which
-    // happens with negligible probability for honestly generated keys —
-    // retry regardless.
-    const BigInt r = BigInt(1) + BigInt::random_below(rng_, n_ - BigInt(1));
-    if (wide::gcd(r, n_) != BigInt(1)) continue;
-    bases.push_back(mont_n2_->to_form(r));
-  }
+  for (const BigInt& r : rs) bases.push_back(mont_n2_->to_form(r));
   obs::crypto_counters().pool_batch_refills.inc();
   for (wide::Montgomery::Form& f : mont_n2_->pow_form_batch(bases, n_))
     stock_.push_back(std::move(f));

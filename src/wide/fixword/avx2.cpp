@@ -153,9 +153,19 @@ class Avx2Backend final : public Backend {
     }
   }
 
-  void pow_batch(const MontCtx& c, const u64* const* bases, const u64* exps,
-                 std::size_t exp_limbs, u64* const* out,
+  void pow_batch(const MontCtx* const* ctxs, const u64* const* bases,
+                 const u64* exps, std::size_t exp_limbs, u64* const* out,
                  std::size_t n) const override {
+    for_each_context_run(ctxs, n, [&](std::size_t first, std::size_t cnt) {
+      pow_run(*ctxs[first], bases + first, exps + first * exp_limbs,
+              exp_limbs, out + first, cnt);
+    });
+  }
+
+ private:
+  /// pow_batch over n items that share the context c.
+  void pow_run(const MontCtx& c, const u64* const* bases, const u64* exps,
+               std::size_t exp_limbs, u64* const* out, std::size_t n) const {
     const std::size_t K = 2 * c.k;
     __m256i vm[kMax32];
     splat_m(c, vm);

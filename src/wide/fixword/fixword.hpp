@@ -31,10 +31,15 @@
 //
 //   * Backend — the batch interface behind runtime CPU dispatch. Batch ops
 //     process n independent operand sets; SIMD backends run lanes() of them
-//     in lockstep per hardware pass. All backends compute the exact fully
-//     reduced representative (in [0, m)) of the same R64-domain value, so
-//     results are bit-identical across backends by construction — the
-//     property that keeps golden protocol hashes backend-invariant.
+//     in lockstep per hardware pass. pow_batch takes a context per item, so
+//     one batch may mix moduli of one width: the IFMA backend loads every
+//     per-modulus constant per lane (a CRT decryption's mod-p^2 and mod-q^2
+//     halves share one pass) and squares through a dedicated Montgomery
+//     squaring kernel; the other backends serve each run of equal context
+//     as its own batch. All backends compute the exact fully reduced
+//     representative (in [0, m)) of the same R64-domain value, so results
+//     are bit-identical across backends by construction — the property
+//     that keeps golden protocol hashes backend-invariant.
 //
 // Dispatch order is fastest-first (ifma > avx2 > neon > scalar); the
 // KGRID_BACKEND environment variable pins a specific backend (CI's
@@ -125,14 +130,33 @@ class Backend {
   /// out[i] = value of Montgomery-form in[i].
   virtual void from_mont_batch(const MontCtx& c, const u64* const* in,
                                u64* const* out, std::size_t n) const = 0;
-  /// Multi-exponent interleaving: out[i] = base[i]^exp[i] · R64 mod m for
-  /// Montgomery-form bases, the n exponents flat in `exps` (exp_limbs words
-  /// each, row i at exps + i·exp_limbs), every lane walking the same fixed
-  /// 64·exp_limbs-bit window schedule in lockstep.
-  virtual void pow_batch(const MontCtx& c, const u64* const* bases,
+  /// Multi-exponent interleaving: out[i] = base[i]^exp[i] · R64 mod m_i for
+  /// bases in the Montgomery form of their own context ctxs[i], the n
+  /// exponents flat in `exps` (exp_limbs words each, row i at
+  /// exps + i·exp_limbs), every lane walking the same fixed
+  /// 64·exp_limbs-bit window schedule in lockstep. The contexts may differ
+  /// per item but must all have one width k; lanes of one pass may then
+  /// carry different moduli (backends without per-lane moduli split the
+  /// items into runs of equal context, see for_each_context_run).
+  virtual void pow_batch(const MontCtx* const* ctxs, const u64* const* bases,
                          const u64* exps, std::size_t exp_limbs,
                          u64* const* out, std::size_t n) const = 0;
 };
+
+/// Calls run(first, count) for each maximal run of consecutive items that
+/// share one context — how a backend whose lanes share one modulus serves a
+/// mixed-context pow_batch.
+template <class Fn>
+void for_each_context_run(const MontCtx* const* ctxs, std::size_t n,
+                          Fn&& run) {
+  std::size_t first = 0;
+  while (first < n) {
+    std::size_t end = first + 1;
+    while (end < n && ctxs[end] == ctxs[first]) ++end;
+    run(first, end - first);
+    first = end;
+  }
+}
 
 /// Every backend compiled into this binary (including ones the running CPU
 /// cannot execute — check available()), ordered fastest-first.

@@ -181,11 +181,11 @@ class ScalarBackend final : public Backend {
     for (std::size_t i = 0; i < n; ++i) ct_from_mont(c, in[i], out[i]);
   }
 
-  void pow_batch(const MontCtx& c, const u64* const* bases, const u64* exps,
-                 std::size_t exp_limbs, u64* const* out,
+  void pow_batch(const MontCtx* const* ctxs, const u64* const* bases,
+                 const u64* exps, std::size_t exp_limbs, u64* const* out,
                  std::size_t n) const override {
     for (std::size_t i = 0; i < n; ++i)
-      ct_pow(c, bases[i], exps + i * exp_limbs, exp_limbs, out[i]);
+      ct_pow(*ctxs[i], bases[i], exps + i * exp_limbs, exp_limbs, out[i]);
   }
 };
 

@@ -430,54 +430,30 @@ Montgomery::Form Montgomery::pow_form(const Form& base, const BigInt& exp) const
 
 std::vector<Montgomery::Form> Montgomery::pow_form_batch(
     std::span<const Form> bases, const BigInt& exp) const {
-  KGRID_CHECK(!exp.is_negative(),
-              "pow_form_batch needs non-negative exponent");
-  const std::size_t n = bases.size();
-  std::vector<Form> out(n);
-  if (n == 0) return out;
   for (const Form& b : bases) check_form(b);
-  obs::crypto_counters().modexps.inc(n);
-  if (!fw_ok_) {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i].ctx_ = this;
-      out[i].limbs_ = pow_limbs(bases[i].limbs_, exp);
-    }
-    return out;
-  }
-  obs::crypto_counters().windowed_modexps.inc(n);
-  obs::crypto_counters().batch_modexps.inc(n);
-  const std::size_t el = std::max<std::size_t>(1, exp.limb_count());
-  std::vector<Limb> exps(n * el);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < el; ++j) exps[i * el + j] = exp.limb(j);
-  std::vector<const Limb*> bp(n);
-  std::vector<Limb*> op(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i].ctx_ = this;
-    out[i].limbs_.resize(k_);
-    bp[i] = bases[i].limbs_.data();
-    op[i] = out[i].limbs_.data();
-  }
-  fixword::active_backend().pow_batch(fw_, bp.data(), exps.data(), el,
-                                      op.data(), n);
-  return out;
+  return pow_form_batch(bases, std::vector<BigInt>(bases.size(), exp));
 }
 
 std::vector<Montgomery::Form> Montgomery::pow_form_batch(
-    std::span<const Form> bases, std::span<const BigInt> exps) const {
+    std::span<const Form> bases, std::span<const BigInt> exps) {
   KGRID_CHECK(bases.size() == exps.size(),
               "pow_form_batch: bases/exps size mismatch");
   const std::size_t n = bases.size();
   std::vector<Form> out(n);
   if (n == 0) return out;
-  for (const Form& b : bases) check_form(b);
+  for (const Form& b : bases)
+    KGRID_CHECK(b.attached(), "pow_form_batch needs attached Forms");
   for (const BigInt& e : exps)
     KGRID_CHECK(!e.is_negative(), "pow_form_batch needs non-negative exponents");
   obs::crypto_counters().modexps.inc(n);
-  if (!fw_ok_) {
+  // One lockstep batch needs every context on the same fixed width.
+  const Montgomery& first = *bases[0].ctx_;
+  bool lockstep = first.fw_ok_;
+  for (const Form& b : bases) lockstep = lockstep && b.ctx_->k_ == first.k_;
+  if (!lockstep) {
     for (std::size_t i = 0; i < n; ++i) {
-      out[i].ctx_ = this;
-      out[i].limbs_ = pow_limbs(bases[i].limbs_, exps[i]);
+      out[i].ctx_ = bases[i].ctx_;
+      out[i].limbs_ = bases[i].ctx_->pow_limbs(bases[i].limbs_, exps[i]);
     }
     return out;
   }
@@ -491,16 +467,18 @@ std::vector<Montgomery::Form> Montgomery::pow_form_batch(
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < exps[i].limb_count(); ++j)
       exp_rows[i * el + j] = exps[i].limb(j);
+  std::vector<const fixword::MontCtx*> cp(n);
   std::vector<const Limb*> bp(n);
   std::vector<Limb*> op(n);
   for (std::size_t i = 0; i < n; ++i) {
-    out[i].ctx_ = this;
-    out[i].limbs_.resize(k_);
+    out[i].ctx_ = bases[i].ctx_;
+    out[i].limbs_.resize(first.k_);
+    cp[i] = &bases[i].ctx_->fw_;
     bp[i] = bases[i].limbs_.data();
     op[i] = out[i].limbs_.data();
   }
-  fixword::active_backend().pow_batch(fw_, bp.data(), exp_rows.data(), el,
-                                      op.data(), n);
+  fixword::active_backend().pow_batch(cp.data(), bp.data(), exp_rows.data(),
+                                      el, op.data(), n);
   return out;
 }
 

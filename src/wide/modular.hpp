@@ -114,10 +114,15 @@ class Montgomery {
   /// batches raise per-item randomizers to the fixed public exponent n).
   std::vector<Form> pow_form_batch(std::span<const Form> bases,
                                    const BigInt& exp) const;
-  /// out[i] = bases[i]^exps[i]; all lanes walk the capacity of the widest
+  /// out[i] = bases[i]^exps[i], each item under the context its base is
+  /// bound to — contexts may differ per item (a CRT decryption raises its
+  /// mod-p^2 and mod-q^2 halves in one call). When every context sits on
+  /// one fixed width the items run as one backend pow_batch, whose lanes
+  /// may then carry different moduli; otherwise each item takes its own
+  /// context's per-item path. All lanes walk the capacity of the widest
   /// exponent so the schedule stays lockstep.
-  std::vector<Form> pow_form_batch(std::span<const Form> bases,
-                                   std::span<const BigInt> exps) const;
+  static std::vector<Form> pow_form_batch(std::span<const Form> bases,
+                                          std::span<const BigInt> exps);
   /// out[i] = a[i]*b[i].
   std::vector<Form> mul_form_batch(std::span<const Form> a,
                                    std::span<const Form> b) const;

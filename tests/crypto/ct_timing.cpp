@@ -12,9 +12,12 @@
 //     timer cannot resolve even that gross leak, the environment is too
 //     noisy to say anything and the test SKIPS (exit 77, wired to ctest's
 //     SKIP_RETURN_CODE; labeled "timing" so CI can segregate it).
-//   * The constant-time path then gets several trials; any trial with |t|
-//     under the threshold passes. Only a leak reproduced in every trial
-//     fails the binary.
+//   * The constant-time paths then get several trials each; any trial with
+//     |t| under the threshold passes. Only a leak reproduced in every trial
+//     fails the binary. Two paths are tested: the scalar ct_pow behind
+//     Montgomery::pow, and the lane-batched pow_form_batch on the active
+//     backend (on IFMA hardware, the kernel with the dedicated squaring),
+//     one lane group of bases raised to the class exponent.
 //
 // Standalone (no gtest) so the measurement loop stays free of framework
 // overhead between samples.
@@ -23,6 +26,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -32,6 +36,7 @@
 using kgrid::Rng;
 using kgrid::wide::BigInt;
 using kgrid::wide::Montgomery;
+namespace fixword = kgrid::wide::fixword;
 
 namespace {
 
@@ -128,6 +133,31 @@ Welch measure(const Montgomery& mont, const BigInt& base, PowFn&& pow,
   return w;
 }
 
+/// Up to kCtTrials measurements of `pow`; true when any trial shows no
+/// distinguisher. Prints each trial and the verdict under `label`.
+template <typename PowFn>
+bool ct_trials(const char* label, const Montgomery& mont, const BigInt& base,
+               PowFn&& pow) {
+  double best = 1e300;
+  for (int trial = 0; trial < kCtTrials; ++trial) {
+    const Welch ct =
+        measure(mont, base, pow, 100 + static_cast<std::uint64_t>(trial));
+    std::printf("%s trial %d: |t| = %.2f  fixed %.0fns  random %.0fns\n",
+                label, trial, std::fabs(ct.t), ct.mean_fixed, ct.mean_random);
+    best = std::min(best, std::fabs(ct.t));
+    if (best < kCtThreshold) {
+      std::printf("PASS %s: no timing distinguisher (best |t| = %.2f < %.1f)\n",
+                  label, best, kCtThreshold);
+      return true;
+    }
+  }
+  std::fprintf(stderr,
+               "FAIL %s: fixed-vs-random exponent timings distinguishable in "
+               "every trial (best |t| = %.2f >= %.1f)\n",
+               label, best, kCtThreshold);
+  return false;
+}
+
 }  // namespace
 
 int main() {
@@ -157,27 +187,24 @@ int main() {
     return 77;
   }
 
-  // The constant-time path under test.
-  double best = 1e300;
-  for (int trial = 0; trial < kCtTrials; ++trial) {
-    const Welch ct = measure(
-        mont, base,
-        [](const Montgomery& mo, const BigInt& b, const BigInt& e) {
-          return mo.pow(b, e);
-        },
-        100 + static_cast<std::uint64_t>(trial));
-    std::printf("ct_pow trial %d: |t| = %.2f  fixed %.0fns  random %.0fns\n",
-                trial, std::fabs(ct.t), ct.mean_fixed, ct.mean_random);
-    best = std::min(best, std::fabs(ct.t));
-    if (best < kCtThreshold) {
-      std::printf("PASS: no timing distinguisher (best |t| = %.2f < %.1f)\n",
-                  best, kCtThreshold);
-      return 0;
-    }
-  }
-  std::fprintf(stderr,
-               "FAIL: fixed-vs-random exponent timings distinguishable in "
-               "every trial (best |t| = %.2f >= %.1f)\n",
-               best, kCtThreshold);
-  return 1;
+  // The constant-time paths under test.
+  const bool pow_ok = ct_trials("ct_pow", mont, base, [](const Montgomery& mo,
+                                                         const BigInt& b,
+                                                         const BigInt& e) {
+    return mo.pow(b, e);
+  });
+  // One lane group of bases, every lane raised to the class exponent, as
+  // RandomizerPool refills and decrypt batches run them.
+  const std::size_t lanes = fixword::active_backend().lanes();
+  std::vector<Montgomery::Form> forms;
+  for (std::size_t i = 0; i < lanes; ++i)
+    forms.push_back(mont.to_form(BigInt::random_below(rng, m)));
+  const std::string batch_label =
+      "pow_form_batch<" + std::string(fixword::active_backend().name()) + ">";
+  const bool batch_ok = ct_trials(
+      batch_label.c_str(), mont, base,
+      [&forms](const Montgomery& mo, const BigInt&, const BigInt& e) {
+        return mo.from_form(mo.pow_form_batch(forms, e).front());
+      });
+  return pow_ok && batch_ok ? 0 : 1;
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/crypto_counters.hpp"
 #include "util/rng.hpp"
 #include "wide/fixword/fixword.hpp"
 #include "wide/prime.hpp"
@@ -142,8 +143,8 @@ struct ForcedBackend {
   ~ForcedBackend() { wide::fixword::force_backend(nullptr); }
 };
 
-// The satellite cross-check: decrypt_batch (two interleaved shared-exponent
-// CRT batches) against decrypt_no_crt (the non-CRT lambda reference) on
+// Cross-check: decrypt_batch (one multi-context batch of the CRT halves)
+// against decrypt_no_crt (the non-CRT lambda reference) on
 // random ciphertexts, across multiple key seeds and every available backend.
 TEST(PaillierBatch, DecryptBatchMatchesNoCrtReference) {
   for (std::uint64_t seed : {11u, 47u, 90001u}) {
@@ -165,6 +166,56 @@ TEST(PaillierBatch, DecryptBatchMatchesNoCrtReference) {
       }
     }
   }
+}
+
+// At the protocol's key size (p^2 and q^2 on the 16-limb grid) every batch
+// size from 1 to 9 — one item to past two full 8-lane passes of halves —
+// decrypts to the non-CRT reference on every backend, and so does the
+// single-item decrypt() built on it.
+TEST(PaillierBatch, DecryptBatchMatchesNoCrtAt1024Bits) {
+  Rng rng(1024);
+  const PaillierPrivateKey key = paillier_keygen(1024, rng);
+  ASSERT_TRUE(key.mont_p2->fixed_width());
+  ASSERT_TRUE(key.mont_q2->fixed_width());
+  std::vector<BigInt> ms, cs;
+  for (int i = 0; i < 9; ++i) {
+    ms.push_back(BigInt::random_below(rng, key.pub.n));
+    cs.push_back(key.pub.encrypt(ms.back(), rng));
+  }
+  std::vector<BigInt> want;
+  for (const BigInt& c : cs) want.push_back(key.decrypt_no_crt(c));
+  EXPECT_EQ(want, ms);
+  for (const wide::fixword::Backend* b : usable_backends()) {
+    ForcedBackend forced(b);
+    for (std::size_t n = 1; n <= cs.size(); ++n) {
+      const std::vector<BigInt> got =
+          key.decrypt_batch(std::span(cs.data(), n));
+      EXPECT_EQ(got, std::vector<BigInt>(want.begin(), want.begin() + n))
+          << b->name() << " n=" << n;
+    }
+    EXPECT_EQ(key.decrypt(cs[0]), want[0]) << b->name();
+  }
+}
+
+// decrypt_batch counts one decryption and two batch modexps (the mod-p^2
+// and mod-q^2 halves) per item; decrypt() counts as a one-item batch.
+TEST(PaillierBatch, DecryptCountsTwoModexpsPerItem) {
+  Rng rng(2048);
+  const PaillierPrivateKey key = paillier_keygen(1024, rng);
+  std::vector<BigInt> cs;
+  for (int i = 0; i < 3; ++i) cs.push_back(key.pub.encrypt(BigInt(i), rng));
+  auto& c = obs::crypto_counters();
+  const auto decrypts0 = c.paillier_decrypts.value();
+  const auto modexps0 = c.modexps.value();
+  const auto batch0 = c.batch_modexps.value();
+  (void)key.decrypt_batch(cs);
+  EXPECT_EQ(c.paillier_decrypts.value() - decrypts0, 3u);
+  EXPECT_EQ(c.modexps.value() - modexps0, 6u);
+  EXPECT_EQ(c.batch_modexps.value() - batch0, 6u);
+  (void)key.decrypt(cs[0]);
+  EXPECT_EQ(c.paillier_decrypts.value() - decrypts0, 4u);
+  EXPECT_EQ(c.modexps.value() - modexps0, 8u);
+  EXPECT_EQ(c.batch_modexps.value() - batch0, 8u);
 }
 
 // Small keys (n^2 below the fixed-width grid) must take the fallback path of

@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "crypto/paillier.hpp"
 #include "obs/crypto_counters.hpp"
 #include "util/rng.hpp"
+#include "wide/modular.hpp"
 
 namespace kgrid::hom {
 namespace {
@@ -160,6 +162,43 @@ TEST(RandomizerPool, TakeBatchMatchesSerialTakes) {
       EXPECT_EQ(c.pool_hits.value() - hits1, serial_hits);
       EXPECT_EQ(c.pool_misses.value() - misses1, serial_misses);
       EXPECT_EQ(kb.pub.pool->stock(), ka.pub.pool->stock());
+    }
+  }
+}
+
+// The per-r reference refill: draw r uniform in [1, n), keep it only if
+// gcd(r, n) = 1, and raise the kept r to n mod n^2 — the factor stream a
+// pool seeded with `seed` must serve.
+std::vector<BigInt> per_r_factors(const BigInt& n, std::uint64_t seed,
+                                  std::size_t count) {
+  Rng rng(seed);
+  std::vector<BigInt> out;
+  while (out.size() < count) {
+    const BigInt r = BigInt(1) + BigInt::random_below(rng, n - BigInt(1));
+    if (wide::gcd(r, n) != BigInt(1)) continue;
+    out.push_back(wide::mod_pow(r, n, n * n));
+  }
+  return out;
+}
+
+TEST(RandomizerPool, GroupUnitCheckMatchesPerRCheck) {
+  // A key modulus, where every group passes its one product gcd, and the
+  // small composite 105 = 3·5·7, where almost every group of 8 draws holds a
+  // non-unit, so the per-r re-check and the replacement draws run. Both
+  // serve the per-r reference stream, through misses and through prefills.
+  Rng key_rng(61);
+  const PaillierPrivateKey key = paillier_keygen(256, key_rng);
+  for (const BigInt& n : {key.pub.n, BigInt(105)}) {
+    const auto mont_n2 = std::make_shared<const wide::Montgomery>(n * n);
+    const std::vector<BigInt> want = per_r_factors(n, 73, 40);
+    RandomizerPool by_take(n, mont_n2, 73);
+    RandomizerPool by_prefill(n, mont_n2, 73);
+    by_prefill.prefill(want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(mont_n2->from_form(by_take.take()), want[i])
+          << "n=" << n.to_dec() << " i=" << i;
+      EXPECT_EQ(mont_n2->from_form(by_prefill.take()), want[i])
+          << "n=" << n.to_dec() << " i=" << i;
     }
   }
 }

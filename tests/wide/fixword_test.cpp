@@ -13,6 +13,7 @@
 #include "util/rng.hpp"
 #include "wide/bigint.hpp"
 #include "wide/modular.hpp"
+#include "wide/prime.hpp"
 
 namespace kgrid::wide {
 namespace {
@@ -226,6 +227,94 @@ TEST(Fixword, PerItemExponentBatchMatchesPerItem) {
                 mont.from_form(mont.pow_form(bases[i], exps[i])))
           << backend->name() << " item " << i;
   }
+}
+
+// The batch pow on every backend (the IFMA one squaring through its
+// dedicated kernel) against the scalar ct_pow, at every pinned width, on the
+// operands that stress carries: Montgomery-domain values 0, 1, m - 1 and
+// all-ones limbs, under a random modulus and the all-ones modulus
+// 2^(64k) - 1, with all-zero, all-ones and random exponents in one batch.
+TEST(Fixword, BatchPowMatchesCtPowOnEdgeOperands) {
+  for (std::size_t k : {8u, 16u, 32u, 64u}) {
+    Rng rng(9000 + k);
+    const BigInt r64 = BigInt(1) << (64 * k);
+    for (const BigInt& m : {random_odd_modulus(rng, 64 * k), r64 - BigInt(1)}) {
+      Montgomery mont(m);
+      ASSERT_TRUE(mont.fixed_width());
+      // to_form(x) holds x·R mod m, so x = d·R^-1 pins the kernel operand d.
+      const BigInt r_inv = mod_inverse(r64 % m, m);
+      const auto operand = [&](const BigInt& d) {
+        return mont.to_form((d * r_inv) % m);
+      };
+      const BigInt all_ones = (BigInt(1) << (64 * k - 1)) - BigInt(1);
+      const std::vector<BigInt> exps_by_class = {
+          BigInt(0), (BigInt(1) << 128) - BigInt(1),
+          BigInt::random_bits(rng, 128)};
+      std::vector<Form> bases;
+      std::vector<BigInt> exps;
+      for (const BigInt& d : {BigInt(0), BigInt(1), m - BigInt(1), all_ones})
+        for (const BigInt& e : exps_by_class) {
+          bases.push_back(operand(d));
+          exps.push_back(e);
+        }
+      std::vector<BigInt> want;
+      for (std::size_t i = 0; i < bases.size(); ++i)
+        want.push_back(mont.from_form(mont.pow_form(bases[i], exps[i])));
+      for (const fixword::Backend* b : usable_backends()) {
+        ForcedBackend forced(b);
+        const std::vector<Form> got = Montgomery::pow_form_batch(bases, exps);
+        ASSERT_EQ(got.size(), bases.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+          EXPECT_EQ(mont.from_form(got[i]), want[i])
+              << b->name() << " k=" << k << " item " << i;
+      }
+    }
+  }
+}
+
+// One batch holding two contexts of one width — the p^2/q^2 halves of a CRT
+// decryption, alternating item by item — equals the per-context batches on
+// every backend, across batch sizes below, at and past the lane counts.
+// Contexts of different widths take the per-item path with the same values.
+TEST(Fixword, MixedContextBatchMatchesPerContextBatches) {
+  Rng rng(10010);
+  const BigInt p = random_prime(rng, 512);
+  const BigInt q = random_prime(rng, 512);
+  Montgomery mp(p * p), mq(q * q);
+  ASSERT_TRUE(mp.fixed_width());
+  ASSERT_TRUE(mq.fixed_width());
+  Montgomery narrow(random_odd_modulus(rng, 512));
+  for (std::size_t n : {1u, 2u, 7u, 8u, 9u, 17u}) {
+    std::vector<Form> bases, bp, bq;
+    std::vector<BigInt> exps, ep, eq;
+    for (std::size_t i = 0; i < n; ++i) {
+      Montgomery& ctx = i % 2 == 0 ? mp : mq;
+      bases.push_back(ctx.to_form(BigInt::random_below(rng, ctx.modulus())));
+      exps.push_back(BigInt::random_bits(rng, 512));
+      (i % 2 == 0 ? bp : bq).push_back(bases.back());
+      (i % 2 == 0 ? ep : eq).push_back(exps.back());
+    }
+    for (const fixword::Backend* b : usable_backends()) {
+      ForcedBackend forced(b);
+      const std::vector<Form> got = Montgomery::pow_form_batch(bases, exps);
+      const std::vector<Form> gp = Montgomery::pow_form_batch(bp, ep);
+      const std::vector<Form> gq = Montgomery::pow_form_batch(bq, eq);
+      ASSERT_EQ(got.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const BigInt want = i % 2 == 0 ? mp.from_form(gp[i / 2])
+                                       : mq.from_form(gq[i / 2]);
+        const Montgomery& ctx = i % 2 == 0 ? mp : mq;
+        EXPECT_EQ(ctx.from_form(got[i]), want)
+            << b->name() << " n=" << n << " item " << i;
+      }
+    }
+  }
+  const std::vector<Form> mixed = {mp.to_form(BigInt(7)),
+                                   narrow.to_form(BigInt(7))};
+  const std::vector<BigInt> mixed_exps = {BigInt(1000003), BigInt(65537)};
+  const std::vector<Form> got = Montgomery::pow_form_batch(mixed, mixed_exps);
+  EXPECT_EQ(mp.from_form(got[0]), mp.pow(BigInt(7), mixed_exps[0]));
+  EXPECT_EQ(narrow.from_form(got[1]), narrow.pow(BigInt(7), mixed_exps[1]));
 }
 
 // Batch APIs on a modulus with no fixed-width kernel (odd limb count) must
